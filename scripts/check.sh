@@ -8,6 +8,7 @@
 #  2. ThreadSanitizer over the concurrency surface: the thread-pool unit
 #     tests, the sharded obs metrics registry, the parallel selection
 #     engine, the Monte-Carlo trial fan-out and the Session facade, the
+#     node-chunked reduced-histogram pass (ParallelHistograms), the
 #     cancellation / checkpoint-resume races (Resilience, KillResume,
 #     CancelToken), the query layer's shared ArtifactStore and the
 #     traceseld daemon's multi-tenant job handling (Query, ArtifactStore,
@@ -27,4 +28,4 @@ cmake -B "$TSAN_BUILD_DIR" -S . -DTRACESEL_SANITIZE=thread
 cmake --build "$TSAN_BUILD_DIR" -j
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j "$(nproc)" \
-    -R 'ThreadPool|Kernel|Parallel|MonteCarlo|Session|Obs|Resilience|KillResume|CancelToken|ArtifactStore|QueryCore|Service|Framing|cli_select_jobs|cli_debug_jobs'
+    -R 'ThreadPool|Kernel|Parallel|ParallelHistograms|MonteCarlo|Session|Obs|Resilience|KillResume|CancelToken|ArtifactStore|QueryCore|Service|Framing|cli_select_jobs|cli_debug_jobs'

@@ -45,6 +45,7 @@ for name in $doc_names; do
     span.*|process.*|jobs.*|queue.*|store.*.entries) continue ;;
     selection.step*|session.*|flow.parse|interleave.build|\
     interleave.graph|interleave.weights|interleave.cross_check|\
+    interleave.histograms|selection.gain.engine_build|\
     kernel.compile|kernel.exec|debug.workbench|debug.simulate|\
     debug.capture|debug.root_cause|debug.localize|selection.dist.run|\
     dist.unit|svc.job)

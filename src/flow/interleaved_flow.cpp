@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <map>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
 #include "flow/kernel.hpp"
 #include "util/obs.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tracesel::flow {
 
@@ -30,6 +30,308 @@ std::uint64_t checked_u64(unsigned __int128 v, const char* what) {
                               " exceeds 64 bits");
   return static_cast<std::uint64_t>(v);
 }
+
+// Orbit graphs below this many nodes run the reduced-histogram pass as one
+// chunk on the calling thread; larger ones split into chunks of
+// kHistogramChunkNodes nodes over a ThreadPool. Chunks merge by integer
+// addition, so neither constant can change the result.
+constexpr std::size_t kHistogramSerialNodes = std::size_t{1} << 16;
+constexpr std::size_t kHistogramChunkNodes = std::size_t{1} << 14;
+
+/// The reduced engine's in-edge class histograms (DESIGN.md §9) over flat
+/// tables built once per call. count() is const and keeps all of its
+/// scratch local, so node-range chunks run concurrently on one instance.
+///
+/// For a concrete state x in orbit B whose group-g index-i component sits
+/// in state v, the number of concrete in-edges labeled <m,i> contributed by
+/// group g depends only on (B, g, v): every legal flow-g transition
+/// q -> m -> v whose predecessor orbit (one v swapped back to q) is
+/// reachable adds one. Legality of the move is orbit-level too: the
+/// predecessor's other components hold no atomic state iff
+/// atomics(B) == [v atomic]. The concrete states of B with the index-i slot
+/// of group g at v number W(B) * mu_g(v) / n_g — exactly divisible — and
+/// slots of distinct groups are independent, so per-(m,i) class counts come
+/// from a product over the groups that can emit <m,i>.
+class ReducedHistogramPass {
+ public:
+  ReducedHistogramPass(const std::vector<InstanceGroup>& groups,
+                       const std::vector<IndexedFlow>& instances,
+                       const KeyCodec& codec, const KeyInterner& interner,
+                       const std::vector<std::uint64_t>& node_weight)
+      : codec_(&codec), interner_(&interner), node_weight_(&node_weight) {
+    // Dense message ids: every message some group's transitions carry.
+    for (const InstanceGroup& g : groups)
+      for (const Transition& t : g.flow->transitions())
+        messages_.push_back(t.message);
+    std::sort(messages_.begin(), messages_.end());
+    messages_.erase(std::unique(messages_.begin(), messages_.end()),
+                    messages_.end());
+    const auto dense = [&](MessageId m) {
+      return static_cast<std::uint32_t>(
+          std::lower_bound(messages_.begin(), messages_.end(), m) -
+          messages_.begin());
+    };
+
+    // Per group: local message ids, the CSR of in-transitions by target
+    // state, and the largest per-state in-count of each local message.
+    std::vector<std::vector<std::uint32_t>> max_in(groups.size());
+    std::vector<std::vector<std::uint32_t>> local_of(groups.size());
+    for (std::uint32_t g = 0; g < groups.size(); ++g) {
+      const Flow& f = *groups[g].flow;
+      Group grp;
+      grp.positions = &groups[g].positions;
+      for (const Transition& t : f.transitions())
+        grp.message.push_back(dense(t.message));
+      std::sort(grp.message.begin(), grp.message.end());
+      grp.message.erase(std::unique(grp.message.begin(), grp.message.end()),
+                        grp.message.end());
+      local_of[g].assign(messages_.size(), 0);
+      for (std::uint32_t lm = 0; lm < grp.message.size(); ++lm)
+        local_of[g][grp.message[lm]] = lm;
+
+      grp.in_off.assign(f.num_states() + 1, 0);
+      for (const Transition& t : f.transitions()) ++grp.in_off[t.to + 1];
+      for (std::size_t s = 0; s < f.num_states(); ++s)
+        grp.in_off[s + 1] += grp.in_off[s];
+      grp.in.resize(f.transitions().size());
+      std::vector<std::uint32_t> fill(grp.in_off.begin(), grp.in_off.end() - 1);
+      for (const Transition& t : f.transitions())
+        grp.in[fill[t.to]++] = {t.from, local_of[g][dense(t.message)]};
+
+      max_in[g].assign(grp.message.size(), 0);
+      std::vector<std::uint32_t> per_state(grp.message.size());
+      for (std::size_t v = 0; v < f.num_states(); ++v) {
+        std::fill(per_state.begin(), per_state.end(), 0);
+        for (std::uint32_t t = grp.in_off[v]; t < grp.in_off[v + 1]; ++t)
+          ++per_state[grp.in[t].second];
+        for (std::size_t lm = 0; lm < per_state.size(); ++lm)
+          max_in[g][lm] = std::max(max_in[g][lm], per_state[lm]);
+      }
+
+      grp.atomic.resize(f.num_states());
+      for (StateId s = 0; s < f.num_states(); ++s)
+        grp.atomic[s] = f.is_atomic(s) ? 1 : 0;
+      grp.counters = num_counters_;
+      num_counters_ += grp.positions->size() * grp.message.size();
+      grp.memo = num_memo_;
+      num_memo_ += f.num_states();
+      groups_.push_back(std::move(grp));
+    }
+
+    // Plan: per dense message, one entry per index it can carry, listing the
+    // groups that can emit <m, index>. Labels come out ascending — message
+    // first, then index — which is IndexedMessage order.
+    plan_off_.push_back(0);
+    class_off_.push_back(0);
+    for (std::uint32_t dm = 0; dm < messages_.size(); ++dm) {
+      std::vector<std::uint32_t> candidates;
+      std::vector<std::uint32_t> indices;
+      for (std::uint32_t g = 0; g < groups_.size(); ++g) {
+        if (!std::binary_search(groups_[g].message.begin(),
+                                groups_[g].message.end(), dm))
+          continue;
+        candidates.push_back(g);
+        for (std::uint32_t p : groups[g].positions)
+          indices.push_back(instances[p].index);
+      }
+      std::sort(indices.begin(), indices.end());
+      indices.erase(std::unique(indices.begin(), indices.end()),
+                    indices.end());
+      for (std::uint32_t idx : indices) {
+        PlanEntry entry;
+        entry.label = static_cast<std::uint32_t>(labels_.size());
+        entry.first = static_cast<std::uint32_t>(plan_groups_.size());
+        std::size_t max_c = 0;
+        for (std::uint32_t g : candidates) {
+          const auto& pos = groups[g].positions;
+          if (std::none_of(pos.begin(), pos.end(), [&](std::uint32_t p) {
+                return instances[p].index == idx;
+              }))
+            continue;
+          const std::uint32_t lm = local_of[g][dm];
+          plan_groups_.push_back({g, lm});
+          max_c += max_in[g][lm];
+        }
+        entry.last = static_cast<std::uint32_t>(plan_groups_.size());
+        labels_.push_back(IndexedMessage{messages_[dm], idx});
+        class_off_.push_back(class_off_.back() + max_c + 1);
+        plan_.push_back(entry);
+      }
+      plan_off_.push_back(static_cast<std::uint32_t>(plan_.size()));
+    }
+  }
+
+  /// Class counts of the nodes [begin, end): slot class_off_[label] + c
+  /// holds how many concrete states have exactly c in-edges labeled
+  /// labels_[label]. Slots of disjoint ranges add up to the whole graph's.
+  std::vector<std::uint64_t> count(std::size_t begin, std::size_t end) const {
+    std::vector<std::uint64_t> classes(class_off_.back(), 0);
+    std::vector<StateId> cur(codec_->components());
+    std::vector<std::uint64_t> key(codec_->words());
+    std::vector<StateId> pred;  // one group's sorted predecessor states
+
+    // runs[run_off[g] ..): the distinct states of group g in the current
+    // node with multiplicities; counter[run.counters + lm] is the per-slot
+    // in-edge count of local message lm into the run's state.
+    struct Run {
+      StateId v;
+      std::uint32_t mu;
+      std::size_t counters;
+    };
+    std::vector<Run> runs;
+    std::vector<std::size_t> run_off(groups_.size() + 1);
+    std::vector<std::uint32_t> counter(num_counters_, 0);
+    // Predecessor reachability, memoized per (node, run) by stamp.
+    std::vector<std::uint64_t> memo_stamp(num_memo_, 0);
+    std::vector<std::uint8_t> memo_reachable(num_memo_, 0);
+    std::uint64_t stamp = 0;
+    std::vector<std::uint8_t> is_active(messages_.size(), 0);
+    std::vector<std::uint32_t> active;
+
+    auto reachable = [&](const std::uint64_t* node_key, const Group& grp,
+                         std::size_t j, StateId q) {
+      const auto& pos = *grp.positions;
+      pred.clear();
+      for (std::uint32_t p : pos) pred.push_back(cur[p]);
+      pred[j] = q;
+      for (; j > 0 && pred[j - 1] > pred[j]; --j)
+        std::swap(pred[j - 1], pred[j]);
+      for (; j + 1 < pred.size() && pred[j + 1] < pred[j]; ++j)
+        std::swap(pred[j], pred[j + 1]);
+      std::copy(node_key, node_key + key.size(), key.begin());
+      for (std::size_t s = 0; s < pos.size(); ++s)
+        codec_->set(key.data(), pos[s], pred[s]);
+      return interner_->find(key.data()) != kInvalidNode;
+    };
+
+    // Enumerates the joint state profiles of the index slots across the
+    // plan entry's groups; each profile is a class of identical concrete
+    // states with kacc members and c in-edges.
+    auto emit = [&](auto&& self, const PlanEntry& entry, std::uint32_t gi,
+                    unsigned __int128 kacc, std::uint64_t c) -> void {
+      if (gi == entry.last) {
+        if (c > 0)
+          classes[class_off_[entry.label] + c] +=
+              checked_u64(kacc, "class count");
+        return;
+      }
+      const auto [g, lm] = plan_groups_[gi];
+      const unsigned __int128 n_g = groups_[g].positions->size();
+      for (std::size_t r = run_off[g]; r < run_off[g + 1]; ++r) {
+        const unsigned __int128 k2 = kacc * runs[r].mu;
+        if (k2 % n_g != 0)
+          throw std::logic_error(
+              "InterleavedFlow: orbit class count not divisible by group "
+              "size (internal invariant violated)");
+        self(self, entry, gi + 1, k2 / n_g, c + counter[runs[r].counters + lm]);
+      }
+    };
+
+    for (std::size_t n = begin; n < end; ++n) {
+      const std::uint64_t* node_key =
+          interner_->key(static_cast<std::uint32_t>(n));
+      codec_->decode(node_key, cur.data());
+      std::uint32_t atomics = 0;
+      for (const Group& grp : groups_)
+        for (std::uint32_t p : *grp.positions) atomics += grp.atomic[cur[p]];
+
+      runs.clear();
+      for (std::size_t g = 0; g < groups_.size(); ++g) {
+        const Group& grp = groups_[g];
+        const auto& pos = *grp.positions;
+        run_off[g] = runs.size();
+        for (std::size_t j = 0; j < pos.size(); ++j) {
+          const StateId v = cur[pos[j]];
+          if (runs.size() > run_off[g] && runs.back().v == v) {
+            ++runs.back().mu;
+            continue;
+          }
+          const std::size_t ctr =
+              grp.counters + (runs.size() - run_off[g]) * grp.message.size();
+          runs.push_back(Run{v, 1, ctr});
+          std::fill_n(counter.begin() + static_cast<std::ptrdiff_t>(ctr),
+                      grp.message.size(), 0u);
+          // All in-moves into v are illegal unless v's holder is the only
+          // atomic component of the predecessor.
+          if (atomics != grp.atomic[v]) continue;
+          ++stamp;
+          for (std::uint32_t t = grp.in_off[v]; t < grp.in_off[v + 1]; ++t) {
+            const auto [q, lm] = grp.in[t];
+            const std::size_t slot = grp.memo + q;
+            if (memo_stamp[slot] != stamp) {
+              memo_stamp[slot] = stamp;
+              memo_reachable[slot] = reachable(node_key, grp, j, q) ? 1 : 0;
+            }
+            if (memo_reachable[slot] == 0) continue;
+            ++counter[ctr + lm];
+            const std::uint32_t dm = grp.message[lm];
+            if (is_active[dm] == 0) {
+              is_active[dm] = 1;
+              active.push_back(dm);
+            }
+          }
+        }
+      }
+      run_off[groups_.size()] = runs.size();
+
+      const std::uint64_t w = (*node_weight_)[n];
+      for (std::uint32_t dm : active) {
+        is_active[dm] = 0;
+        for (std::uint32_t p = plan_off_[dm]; p < plan_off_[dm + 1]; ++p)
+          emit(emit, plan_[p], plan_[p].first, w, 0);
+      }
+      active.clear();
+    }
+    return classes;
+  }
+
+  /// The histograms of a whole graph's class counts: labels ascending,
+  /// classes ascending by c, empty labels and classes dropped.
+  std::vector<InterleavedFlow::LabelClassHistogram> histograms(
+      const std::vector<std::uint64_t>& classes) const {
+    std::vector<InterleavedFlow::LabelClassHistogram> out;
+    for (std::size_t l = 0; l < labels_.size(); ++l) {
+      InterleavedFlow::LabelClassHistogram h{labels_[l], {}};
+      for (std::size_t c = 1; c < class_off_[l + 1] - class_off_[l]; ++c)
+        if (const std::uint64_t k = classes[class_off_[l] + c]; k > 0)
+          h.classes.emplace_back(c, k);
+      if (!h.classes.empty()) out.push_back(std::move(h));
+    }
+    return out;
+  }
+
+ private:
+  struct Group {
+    const std::vector<std::uint32_t>* positions = nullptr;
+    std::vector<std::uint32_t> message;  ///< local -> dense message id
+    std::vector<std::uint32_t> in_off;   ///< CSR offsets by target state
+    /// (source state, local message) of each in-transition.
+    std::vector<std::pair<StateId, std::uint32_t>> in;
+    std::vector<std::uint8_t> atomic;  ///< by state
+    std::size_t counters = 0;          ///< first counter of this group
+    std::size_t memo = 0;              ///< first memo slot (one per state)
+  };
+  /// One label <m, index>: its groups are plan_groups_[first, last).
+  struct PlanEntry {
+    std::uint32_t label = 0;
+    std::uint32_t first = 0;
+    std::uint32_t last = 0;
+  };
+
+  const KeyCodec* codec_;
+  const KeyInterner* interner_;
+  const std::vector<std::uint64_t>* node_weight_;
+  std::vector<MessageId> messages_;  ///< dense id -> MessageId, ascending
+  std::vector<Group> groups_;
+  std::size_t num_counters_ = 0;
+  std::size_t num_memo_ = 0;
+  std::vector<std::uint32_t> plan_off_;  ///< per dense message, into plan_
+  std::vector<PlanEntry> plan_;
+  /// (group, local message) pairs of every plan entry.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> plan_groups_;
+  std::vector<IndexedMessage> labels_;  ///< label id -> <m, index>
+  std::vector<std::size_t> class_off_;  ///< label id -> first class slot
+};
 
 }  // namespace
 
@@ -332,19 +634,28 @@ void InterleavedFlow::finalize_weights_and_occurrences() {
   // Concrete edges represented by quotient edge e: W(from) * mu(e). Each
   // group's total per message splits evenly over its n_g indices (every
   // class count is divisible by n_g — DESIGN.md §9).
+  // per_gm is a flat group x message table; a zero entry is a (group,
+  // message) pair no edge carries (every edge adds W(from) * mu >= 1).
+  MessageId max_message = 0;
+  for (const Edge& e : edges_)
+    max_message = std::max(max_message, e.label.message);
+  const std::size_t stride = static_cast<std::size_t>(max_message) + 1;
+  std::vector<unsigned __int128> per_gm(groups_.size() * stride, 0);
   unsigned __int128 total_edges = 0;
-  std::map<std::pair<std::uint32_t, MessageId>, unsigned __int128> per_gm;
   for (std::size_t e = 0; e < edges_.size(); ++e) {
     const unsigned __int128 c =
         static_cast<unsigned __int128>(node_weight_[edges_[e].from]) *
         edge_mult_[e];
     total_edges += c;
-    per_gm[{group_of_[edges_[e].instance], edges_[e].label.message}] += c;
+    per_gm[group_of_[edges_[e].instance] * stride + edges_[e].label.message] +=
+        c;
   }
   product_edges_ = checked_u64(total_edges, "product edge count");
 
-  for (const auto& [gm, total] : per_gm) {
-    const InstanceGroup& grp = groups_[gm.first];
+  for (std::size_t gm = 0; gm < per_gm.size(); ++gm) {
+    const unsigned __int128 total = per_gm[gm];
+    if (total == 0) continue;
+    const InstanceGroup& grp = groups_[gm / stride];
     const unsigned __int128 n_g = grp.positions.size();
     if (total % n_g != 0)
       throw std::logic_error(
@@ -352,9 +663,9 @@ void InterleavedFlow::finalize_weights_and_occurrences() {
           "size (internal invariant violated)");
     const std::uint64_t per_index =
         checked_u64(total / n_g, "occurrence count");
+    const auto m = static_cast<MessageId>(gm % stride);
     for (std::uint32_t p : grp.positions)
-      occurrence_counts_[IndexedMessage{gm.second, instances_[p].index}] +=
-          per_index;
+      occurrence_counts_[IndexedMessage{m, instances_[p].index}] += per_index;
   }
   for (const auto& [im, cnt] : occurrence_counts_)
     indexed_messages_.push_back(im);
@@ -701,9 +1012,13 @@ double InterleavedFlow::count_consistent_paths_multiset(
 
 std::vector<InterleavedFlow::LabelClassHistogram>
 InterleavedFlow::label_target_histograms() const {
-  // The compiled fast path exists where the generic one is table-shaped
-  // (unreduced edge counting); the reduced engine's orbit combinatorics
-  // stay generic — both are bit-identical either way.
+  OBS_SPAN("interleave.histograms");
+  // Both engines produce the same integers in the same canonical order:
+  // unreduced engines count in-edges (the compiled kernel's counting sort
+  // or the generic map), reduced ones run the orbit pass, whose node chunks
+  // only add integers into per-(label, c) slots — so the merged histogram
+  // is exact and independent of chunking and worker count, and the
+  // InfoGainEngine's floating-point sum over it is bit-identical.
   if (!reduced_ && options_.kernel == KernelMode::kCompiled)
     return program().label_target_histograms();
   return reduced_ ? histograms_reduced() : histograms_unreduced();
@@ -727,150 +1042,24 @@ InterleavedFlow::histograms_unreduced() const {
 
 std::vector<InterleavedFlow::LabelClassHistogram>
 InterleavedFlow::histograms_reduced() const {
-  // For a concrete state x in orbit B whose group-g index-i component sits
-  // in state v, the number of concrete in-edges labeled <m,i> contributed
-  // by group g depends only on (B, g, v): every legal flow-g transition
-  // q -> m -> v whose predecessor orbit (one v swapped back to q) is
-  // reachable adds one. Legality of the move is orbit-level too: the
-  // predecessor's other components hold no atomic state iff
-  // atomics(B) == [v atomic]. The concrete states of B with the index-i
-  // slot of group g at v number W(B) * mu_g(v) / n_g — exactly divisible —
-  // and slots of distinct groups are independent, so per-(m,i) class counts
-  // come from a product over the groups that can emit <m,i>.
-  const std::size_t k = instances_.size();
-  const std::size_t words = codec_.words();
-
-  // Per group: in-transitions by target state.
-  std::vector<std::vector<std::vector<std::pair<MessageId, StateId>>>> in_by(
-      groups_.size());
-  std::map<MessageId, std::vector<std::uint32_t>> msg_groups;
-  for (std::uint32_t g = 0; g < groups_.size(); ++g) {
-    const Flow& f = *groups_[g].flow;
-    in_by[g].resize(f.num_states());
-    std::set<MessageId> used;
-    for (const Transition& t : f.transitions()) {
-      in_by[g][t.to].push_back({t.message, t.from});
-      used.insert(t.message);
-    }
-    for (MessageId m : used) msg_groups[m].push_back(g);
-  }
-  // Per group: the instance indices present, aligned with positions.
-  std::vector<std::vector<std::uint32_t>> group_indices(groups_.size());
-  for (std::uint32_t g = 0; g < groups_.size(); ++g)
-    for (std::uint32_t p : groups_[g].positions)
-      group_indices[g].push_back(instances_[p].index);
-
-  std::map<IndexedMessage, std::map<std::uint64_t, std::uint64_t>> hist;
-
-  std::vector<StateId> cur(k);
-  std::vector<StateId> pred(k);
-  std::vector<std::uint64_t> kw(words);
-  std::vector<StateId> scratch;
-
-  // runs[g]: distinct states of group g in this node with multiplicities;
-  // cmap[g][v][m]: per-slot in-edge count for <m, any index of g>.
-  std::vector<std::vector<std::pair<StateId, std::uint32_t>>> runs(
-      groups_.size());
-  std::vector<std::map<StateId, std::map<MessageId, std::uint64_t>>> cmap(
-      groups_.size());
-
-  for (NodeId n = 0; static_cast<std::size_t>(n) < num_nodes_; ++n) {
-    codec_.decode(interner_.key(n), cur.data());
-    std::size_t atomics = 0;
-    for (std::size_t i = 0; i < k; ++i)
-      if (instances_[i].flow->is_atomic(cur[i])) ++atomics;
-    const std::uint64_t w = node_weight_[n];
-
-    std::set<MessageId> active;
-    for (std::uint32_t g = 0; g < groups_.size(); ++g) {
-      runs[g].clear();
-      cmap[g].clear();
-      const auto& pos = groups_[g].positions;
-      for (std::size_t j = 0; j < pos.size(); ++j) {
-        if (!runs[g].empty() && runs[g].back().first == cur[pos[j]]) {
-          ++runs[g].back().second;
-          continue;
-        }
-        runs[g].push_back({cur[pos[j]], 1});
-        const StateId v = cur[pos[j]];
-        // All in-moves into v are illegal unless v's holder is the only
-        // atomic component of the predecessor.
-        if (atomics != (groups_[g].flow->is_atomic(v) ? 1u : 0u)) continue;
-        std::map<StateId, bool> pred_reachable;
-        for (const auto& [m, q] : in_by[g][v]) {
-          auto it = pred_reachable.find(q);
-          if (it == pred_reachable.end()) {
-            pred = cur;
-            pred[pos[j]] = q;
-            scratch.clear();
-            for (std::uint32_t p : pos) scratch.push_back(pred[p]);
-            std::sort(scratch.begin(), scratch.end());
-            for (std::size_t s = 0; s < pos.size(); ++s)
-              pred[pos[s]] = scratch[s];
-            codec_.encode(pred.data(), kw.data());
-            it = pred_reachable
-                     .emplace(q, interner_.find(kw.data()) != kInvalidNode)
-                     .first;
-          }
-          if (it->second) {
-            ++cmap[g][v][m];
-            active.insert(m);
-          }
-        }
-      }
-    }
-
-    for (MessageId m : active) {
-      const auto& candidates = msg_groups[m];
-      std::set<std::uint32_t> indices;
-      for (std::uint32_t g : candidates)
-        indices.insert(group_indices[g].begin(), group_indices[g].end());
-      for (std::uint32_t idx : indices) {
-        std::vector<std::uint32_t> relevant;
-        for (std::uint32_t g : candidates) {
-          if (std::find(group_indices[g].begin(), group_indices[g].end(),
-                        idx) != group_indices[g].end())
-            relevant.push_back(g);
-        }
-        // Enumerate joint state profiles of the index-idx slots across the
-        // relevant groups; each profile is a class of identical concrete
-        // states.
-        auto emit = [&](auto&& self, std::size_t gi, unsigned __int128 kacc,
-                        std::uint64_t c) -> void {
-          if (gi == relevant.size()) {
-            if (c > 0)
-              hist[IndexedMessage{m, idx}][c] +=
-                  checked_u64(kacc, "class count");
-            return;
-          }
-          const std::uint32_t g = relevant[gi];
-          const unsigned __int128 n_g = groups_[g].positions.size();
-          for (const auto& [v, mu] : runs[g]) {
-            const unsigned __int128 k2 = kacc * mu;
-            if (k2 % n_g != 0)
-              throw std::logic_error(
-                  "InterleavedFlow: orbit class count not divisible by "
-                  "group size (internal invariant violated)");
-            std::uint64_t dc = 0;
-            const auto vit = cmap[g].find(v);
-            if (vit != cmap[g].end()) {
-              const auto mit = vit->second.find(m);
-              if (mit != vit->second.end()) dc = mit->second;
-            }
-            self(self, gi + 1, k2 / n_g, c + dc);
-          }
-        };
-        emit(emit, 0, w, 0);
-      }
-    }
-  }
-
-  std::vector<LabelClassHistogram> out;
-  out.reserve(hist.size());
-  for (const auto& [label, classes] : hist)
-    out.push_back(LabelClassHistogram{
-        label, {classes.begin(), classes.end()}});
-  return out;
+  const ReducedHistogramPass pass(groups_, instances_, codec_, interner_,
+                                  node_weight_);
+  const std::size_t chunks =
+      num_nodes_ < kHistogramSerialNodes
+          ? 1
+          : (num_nodes_ + kHistogramChunkNodes - 1) / kHistogramChunkNodes;
+  OBS_COUNT("interleave.histograms.chunks", chunks);
+  if (chunks == 1) return pass.histograms(pass.count(0, num_nodes_));
+  util::ThreadPool pool(
+      std::min(chunks, util::ThreadPool::resolve_jobs(0)));
+  return pass.histograms(pool.parallel_reduce(
+      0, num_nodes_, kHistogramChunkNodes, std::vector<std::uint64_t>{},
+      [&](std::size_t b, std::size_t e) { return pass.count(b, e); },
+      [](std::vector<std::uint64_t> acc, std::vector<std::uint64_t> part) {
+        if (acc.empty()) return part;
+        for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += part[i];
+        return acc;
+      }));
 }
 
 void InterleavedFlow::verify_against_unreduced() const {

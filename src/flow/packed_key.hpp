@@ -70,6 +70,13 @@ class KeyCodec {
                                 comps_[i].mask);
   }
 
+  /// Overwrites component i of an already packed key in place.
+  void set(std::uint64_t* key, std::size_t i, StateId s) const {
+    const Component& c = comps_[i];
+    key[c.word] = (key[c.word] & ~(c.mask << c.bit)) |
+                  (static_cast<std::uint64_t>(s) << c.bit);
+  }
+
  private:
   struct Component {
     std::uint32_t word = 0;
@@ -91,9 +98,10 @@ class KeyInterner {
 
   std::size_t size() const { return count_; }
 
-  /// Total slot inspections across intern()/find() — the obs layer
-  /// reports this as "interleave.interner.probes" (probes/lookup ≈ 1 means
-  /// the table is healthy).
+  /// Total slot inspections across intern() — the obs layer reports this
+  /// as "interleave.interner.probes" (probes/lookup ≈ 1 means the table is
+  /// healthy). find() is a pure read and counts nothing, so concurrent
+  /// lookups from several threads stay race-free.
   std::uint64_t probes() const { return probes_; }
 
   const std::uint64_t* key(std::uint32_t id) const {
@@ -120,11 +128,11 @@ class KeyInterner {
     return id;
   }
 
-  /// Lookup without insertion; kInvalidNode if absent.
+  /// Lookup without insertion; kInvalidNode if absent. Safe to call
+  /// concurrently with other find() calls (never with intern()).
   std::uint32_t find(const std::uint64_t* k) const {
     std::size_t s = probe_start(k);
     for (;; s = (s + 1) & mask_) {
-      ++probes_;
       const std::uint32_t id = slots_[s];
       if (id == kInvalidNode) return kInvalidNode;
       if (equal(key(id), k)) return id;
@@ -166,7 +174,7 @@ class KeyInterner {
   std::size_t count_ = 0;
   std::vector<std::uint32_t> slots_;
   std::size_t mask_ = 0;
-  mutable std::uint64_t probes_ = 0;
+  std::uint64_t probes_ = 0;
 };
 
 }  // namespace tracesel::flow

@@ -13,12 +13,12 @@ namespace tracesel::selection {
 MessageSelector::MessageSelector(const flow::MessageCatalog& catalog,
                                  const flow::InterleavedFlow& u)
     : catalog_(&catalog), u_(&u), engine_(u) {
-  for (const auto& e : u.edges()) {
-    if (std::find(candidates_.begin(), candidates_.end(), e.label.message) ==
-        candidates_.end())
-      candidates_.push_back(e.label.message);
+  // indexed_messages() is sorted message-first and holds exactly the edge
+  // labels, so its distinct message ids are the sorted edge alphabet.
+  for (const flow::IndexedMessage& im : u.indexed_messages()) {
+    if (candidates_.empty() || candidates_.back() != im.message)
+      candidates_.push_back(im.message);
   }
-  std::sort(candidates_.begin(), candidates_.end());
 }
 
 Combination MessageSelector::search_exhaustive(const SelectorConfig& config,

@@ -6,6 +6,7 @@
 // spec we ship: Fig. 2, the USB netlist flows, and T2 sub-specs at three
 // instances per flow.
 
+#include <set>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "selection/selector.hpp"
 #include "soc/t2_design.hpp"
 #include "testutil.hpp"
+#include "util/obs.hpp"
 #include "util/rng.hpp"
 
 namespace tracesel {
@@ -207,6 +209,85 @@ TEST(SymmetryReduction, HeterogeneousInstanceCountsStayExact) {
   const auto u = InterleavedFlow::build(instances, reduced_checked());
   EXPECT_TRUE(u.reduced());
   EXPECT_LT(u.num_nodes(), u.num_product_states());
+}
+
+TEST(SymmetryReduction, ParallelHistogramsMatchUnreduced) {
+  // 117k orbit nodes (891k concrete states): above the reduced-histogram
+  // pass's serial threshold, so its node chunks fan out over a thread pool.
+  // Groups of two plus a singleton keep the orbit combinatorics mixed.
+  const soc::T2Design design;
+  std::vector<flow::IndexedFlow> instances;
+  for (const flow::Flow* f :
+       {&design.pior(), &design.ncuu(), &design.mondo(), &design.dmar()})
+    for (std::uint32_t i = 1; i <= 2; ++i) instances.push_back({f, i});
+  instances.push_back({&design.dmaw(), 1});
+
+  obs::set_enabled(true);
+  obs::reset();
+  const auto red = InterleavedFlow::build(instances);
+  const auto hr = red.label_target_histograms();
+  obs::set_enabled(false);
+  EXPECT_GE(obs::registry().counter_value("interleave.histograms.chunks"),
+            2u);
+
+  const auto full = InterleavedFlow::build(instances, unreduced());
+  const auto hf = full.label_target_histograms();
+  ASSERT_EQ(hr.size(), hf.size());
+  for (std::size_t i = 0; i < hr.size(); ++i) {
+    EXPECT_EQ(hr[i].label, hf[i].label) << i;
+    EXPECT_EQ(hr[i].classes, hf[i].classes)
+        << hr[i].label.index << ":" << hr[i].label.message;
+  }
+
+  // Worker scheduling must not leak into the gains: two runs of the pass
+  // give the same contributions, bit for bit, as the unreduced product.
+  const selection::InfoGainEngine first(red);
+  const selection::InfoGainEngine second(red);
+  const selection::InfoGainEngine oracle(full);
+  EXPECT_EQ(first.max_gain(), second.max_gain());
+  EXPECT_EQ(first.max_gain(), oracle.max_gain());
+  for (const auto& im : full.indexed_messages()) {
+    EXPECT_EQ(first.contribution(im), second.contribution(im))
+        << im.index << ":" << im.message;
+    EXPECT_EQ(first.contribution(im), oracle.contribution(im))
+        << im.index << ":" << im.message;
+  }
+}
+
+TEST(SymmetryReduction, SelectorCandidatesAreTheEdgeAlphabet) {
+  // MessageSelector takes its candidates from indexed_messages(); they must
+  // be exactly the distinct messages labeling an edge, on either engine.
+  const CoherenceFixture fx;
+  const netlist::UsbDesign usb;
+  const soc::T2Design design;
+  auto check = [](const flow::MessageCatalog& catalog,
+                  const InterleavedFlow& u) {
+    std::set<flow::MessageId> alphabet;
+    for (const auto& e : u.edges()) alphabet.insert(e.label.message);
+    const selection::MessageSelector selector(catalog, u);
+    EXPECT_EQ(selector.candidates(),
+              std::vector<flow::MessageId>(alphabet.begin(), alphabet.end()))
+        << u.instances().size() << " instances, reduced " << u.reduced();
+  };
+  for (const InterleaveOptions& opt : {InterleaveOptions{}, unreduced()}) {
+    for (std::uint32_t n = 1; n <= 3; ++n) {
+      check(fx.catalog,
+            InterleavedFlow::build(flow::make_instances({&fx.flow_}, n), opt));
+      check(usb.catalog(), usb.interleaving(n, opt));
+      check(design.catalog(),
+            InterleavedFlow::build(
+                flow::make_instances({&design.pior(), &design.piow()}, n),
+                opt));
+    }
+    check(design.catalog(),
+          InterleavedFlow::build(
+              flow::make_instances(
+                  {&design.pior(), &design.piow(), &design.ncuu(),
+                   &design.ncud(), &design.mondo(), &design.dmar(),
+                   &design.dmaw()},
+                  1),
+              opt));
+  }
 }
 
 TEST(SymmetryReduction, MaxNodesGuardThrowsWithReduction) {
