@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "selection/coverage.hpp"
+#include "selection/knapsack.hpp"
 #include "util/thread_pool.hpp"
 
 namespace tracesel::selection {
@@ -66,42 +67,19 @@ MultiScenarioResult MultiScenarioSelector::select(
   result.buffer_width = buffer_width;
 
   // ---- exact knapsack over the weighted aggregate gain ----
-  const std::size_t n = candidates_.size();
-  struct Cell {
-    double gain = 0.0;
-    std::uint32_t used = 0;
-  };
-  std::vector<std::vector<Cell>> dp(
-      n + 1, std::vector<Cell>(buffer_width + 1, Cell{}));
-  for (std::size_t i = 1; i <= n; ++i) {
-    const std::uint32_t w = catalog_->get(candidates_[i - 1]).trace_width();
-    const double v = contribution(candidates_[i - 1]);
-    for (std::uint32_t cap = 0; cap <= buffer_width; ++cap) {
-      dp[i][cap] = dp[i - 1][cap];
-      if (w <= cap) {
-        const Cell with{dp[i - 1][cap - w].gain + v,
-                        dp[i - 1][cap - w].used + w};
-        if (with.gain > dp[i][cap].gain ||
-            (with.gain == dp[i][cap].gain && with.used < dp[i][cap].used))
-          dp[i][cap] = with;
-      }
-    }
+  std::vector<double> values;
+  std::vector<std::uint32_t> widths;
+  for (const flow::MessageId m : candidates_) {
+    values.push_back(contribution(m));
+    widths.push_back(catalog_->get(m).trace_width());
   }
-  std::uint32_t cap = buffer_width;
-  for (std::size_t i = n; i > 0; --i) {
-    const Cell& cur = dp[i][cap];
-    const Cell& without = dp[i - 1][cap];
-    if (cur.gain == without.gain && cur.used == without.used) continue;
-    const std::uint32_t w = catalog_->get(candidates_[i - 1]).trace_width();
-    result.combination.messages.push_back(candidates_[i - 1]);
-    result.combination.width += w;
-    cap -= w;
-  }
-  if (result.combination.messages.empty())
+  const auto pick = solve_knapsack(values, widths, buffer_width);
+  if (!pick)
     throw std::runtime_error(
         "MultiScenarioSelector: no message fits the trace buffer");
-  std::sort(result.combination.messages.begin(),
-            result.combination.messages.end());
+  for (const std::size_t i : pick->items)
+    result.combination.messages.push_back(candidates_[i]);
+  result.combination.width = pick->width;
   result.used_width = result.combination.width;
 
   // ---- greedy subgroup packing with the aggregate objective ----

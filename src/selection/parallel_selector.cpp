@@ -358,8 +358,7 @@ ParallelSelector::SearchOutcome ParallelSelector::search_sharded(
 
 SelectionResult ParallelSelector::select(const SelectorConfig& config,
                                          util::ThreadPool* pool) const {
-  if (config.mode == SearchMode::kGreedy ||
-      config.mode == SearchMode::kKnapsack) {
+  if (!enumerates(config.mode)) {
     // Greedy ascent and the knapsack DP are sequential by nature (each
     // step/row depends on the previous) and already near-linear; run them
     // on the serial path.

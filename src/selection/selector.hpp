@@ -24,18 +24,25 @@ struct SearchCheckpoint;
 enum class SearchMode {
   /// Score every fitting combination (paper Sec. 3.1-3.2). Exponential.
   kExhaustive,
-  /// Score only maximal fitting combinations — lossless because the paper's
-  /// gain estimator is monotone under adding messages. Default.
+  /// Score only maximal fitting combinations: lossless while adding a
+  /// message strictly raises the gain (DESIGN.md §17 names the exception).
+  /// Exponential.
   kMaximal,
   /// Greedy marginal-gain ascent; near-linear, for very large message sets
   /// (the scalability objective of Sec. 1).
   kGreedy,
   /// Exact 0/1-knapsack dynamic program over (width, gain). Because the
   /// paper's gain estimator decomposes additively per message, this finds
-  /// the true Step 2 optimum in O(messages x buffer_width) — the same
-  /// result as kExhaustive at a tiny fraction of the cost.
+  /// kExhaustive's combination — same tie-break, bit-identical gain — in
+  /// O(messages x buffer_width) (solve_knapsack, DESIGN.md §17). Default.
   kKnapsack,
 };
+
+/// True for the modes that enumerate combinations. Only they shard across
+/// workers and processes, checkpoint, resume and honour shard budgets.
+constexpr bool enumerates(SearchMode mode) {
+  return mode == SearchMode::kExhaustive || mode == SearchMode::kMaximal;
+}
 
 /// The single options struct for the whole selection pipeline. Every entry
 /// point (MessageSelector, ParallelSelector, MultiScenarioSelector,
@@ -43,7 +50,7 @@ enum class SearchMode {
 struct SelectorConfig {
   std::uint32_t buffer_width = 32;  ///< bits, Table 3 uses 32
   bool packing = true;              ///< run Step 3
-  SearchMode mode = SearchMode::kMaximal;
+  SearchMode mode = SearchMode::kKnapsack;
   std::size_t max_combinations = 1u << 22;
   /// Worker threads for the Step 1/2 search (and the other hot loops that
   /// honour this config): 1 = the classic serial path, 0 = one worker per
@@ -63,6 +70,9 @@ struct SelectorConfig {
   std::string metrics_out;
 
   // --- resilience (DESIGN.md §11, docs/resilience.md) ---
+  // Checkpoints, resume, shard budgets and the memory budget act on the
+  // enumerating searches (enumerates(mode)); the knapsack and greedy
+  // searches poll `cancel` only.
   /// Cooperative cancellation / deadline. The default token is inert. When
   /// it fires, the search stops within one shard granule and select()
   /// returns the best-so-far with SelectionResult::partial = true instead

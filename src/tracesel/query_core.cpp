@@ -163,7 +163,11 @@ selection::SelectionResult QueryCore::select(
     // honours cfg.jobs by itself.
     result = w.selector->select_with_flow_constraint(cfg);
   } else {
-    const std::size_t workers = util::ThreadPool::resolve_jobs(cfg.jobs);
+    // Only the enumerating search runs on a pool; the others are serial, so
+    // they skip starting one.
+    const std::size_t workers = selection::enumerates(cfg.mode)
+                                    ? util::ThreadPool::resolve_jobs(cfg.jobs)
+                                    : 1;
     if (workers > 1) {
       if (!w.parallel)
         throw std::logic_error(

@@ -150,8 +150,11 @@ selection::SelectionResult Session::select_impl(bool flow_constraint) {
   }
   QueryCore::ensure_selectors(*workload_);
 
+  // Only the enumerating search runs on the pool; don't start one for the
+  // serial modes.
   selection::SelectionResult result = QueryCore::select(
-      *workload_, config_with_provenance(), flow_constraint, pool());
+      *workload_, config_with_provenance(), flow_constraint,
+      selection::enumerates(config_.mode) ? pool() : nullptr);
 
   // A resume is one-shot: the next select() starts a fresh search instead
   // of silently skipping shards against a stale checkpoint.
@@ -229,8 +232,7 @@ selection::SelectionResult Session::run_distributed(
     why = "no worker command";
   else if (cfg.checkpoint_spec_path.empty())
     why = "no spec provenance for workers to rebuild from";
-  else if (cfg.mode == selection::SearchMode::kGreedy ||
-           cfg.mode == selection::SearchMode::kKnapsack)
+  else if (!selection::enumerates(cfg.mode))
     why = "sequential search mode";
   else if (ensure_parallel().memory_degraded(cfg))
     why = "memory budget forces the beam-limited serial search";

@@ -167,27 +167,73 @@ TEST_P(PropertyTest, CoverageMonotoneAndBoundedByEnteredStates) {
   EXPECT_NEAR(last, max_cov, 1e-12);
 }
 
+/// Every field of two selections, doubles compared with ==: the searches
+/// must agree bit for bit, not approximately.
+void expect_same_selection(const selection::SelectionResult& a,
+                           const selection::SelectionResult& b) {
+  EXPECT_EQ(a.combination.messages, b.combination.messages);
+  EXPECT_EQ(a.combination.width, b.combination.width);
+  EXPECT_EQ(a.packed, b.packed);
+  EXPECT_EQ(a.gain, b.gain);
+  EXPECT_EQ(a.gain_unpacked, b.gain_unpacked);
+  EXPECT_EQ(a.coverage, b.coverage);
+  EXPECT_EQ(a.coverage_unpacked, b.coverage_unpacked);
+  EXPECT_EQ(a.used_width, b.used_width);
+}
+
+// Knapsack, exhaustive and maximal search agree on the combination and its
+// gain. Maximal agrees because adding a message always raises the gain:
+// flows are DAGs, so no edge enters the all-initial product state, no
+// message leads to every product state, and a message's contribution
+// p(y) KL(p(x|y) || uniform) is > 0 (DESIGN.md §17).
 TEST_P(PropertyTest, KnapsackMatchesExhaustiveOptimum) {
   const auto sys = make_random_system(GetParam());
-  const auto u = interleave(sys, 1);
-  const selection::MessageSelector selector(sys.catalog, u);
-
   util::Rng rng(GetParam() ^ 0x77);
-  const std::uint32_t budget =
+  const std::uint32_t random_budget =
       static_cast<std::uint32_t>(4 + rng.index(24));
-  selection::SelectorConfig ex, kn;
-  ex.buffer_width = kn.buffer_width = budget;
-  ex.mode = selection::SearchMode::kExhaustive;
-  kn.mode = selection::SearchMode::kKnapsack;
-  ex.packing = kn.packing = false;
-  double g_ex = -1.0;
-  try {
-    g_ex = selector.select(ex).gain;
-  } catch (const std::runtime_error&) {
-    EXPECT_THROW(selector.select(kn), std::runtime_error);
-    return;
+  for (const std::uint32_t instances : {1u, 2u, 3u}) {
+    // Three instances of three 7-state flows reach ~600k orbit nodes; keep
+    // the third instance to the systems that stay small.
+    if (instances == 3 && sys.flows.size() == 3) continue;
+    const auto u = interleave(sys, instances);
+    const selection::MessageSelector selector(sys.catalog, u);
+    for (const std::uint32_t budget :
+         {random_budget, 2u, 8u, 16u, 32u, 64u, 128u, 256u}) {
+      for (const bool packing : {false, true}) {
+        SCOPED_TRACE("instances " + std::to_string(instances) + " budget " +
+                     std::to_string(budget) +
+                     (packing ? " packing" : " no packing"));
+        selection::SelectorConfig ex, mx, kn;
+        ex.buffer_width = mx.buffer_width = kn.buffer_width = budget;
+        ex.mode = selection::SearchMode::kExhaustive;
+        mx.mode = selection::SearchMode::kMaximal;
+        kn.mode = selection::SearchMode::kKnapsack;
+        ex.packing = mx.packing = kn.packing = packing;
+        // Cap the exhaustive walk; over the cap it throws length_error and
+        // the maximal search (one combination at wide budgets) stands in.
+        ex.max_combinations = 1u << 16;
+        selection::SelectionResult r_ex, r_mx;
+        try {
+          r_mx = selector.select(mx);
+        } catch (const std::runtime_error&) {
+          EXPECT_THROW(selector.select(kn), std::runtime_error);
+          EXPECT_THROW(selector.select(ex), std::runtime_error);
+          continue;
+        }
+        const auto r_kn = selector.select(kn);
+        expect_same_selection(r_kn, r_mx);
+        try {
+          r_ex = selector.select(ex);
+        } catch (const std::length_error&) {
+          // Only the wide budgets may pass the cap: the random budget is
+          // always checked against the exhaustive search.
+          EXPECT_NE(budget, random_budget);
+          continue;
+        }
+        expect_same_selection(r_kn, r_ex);
+      }
+    }
   }
-  EXPECT_DOUBLE_EQ(selector.select(kn).gain, g_ex) << "budget " << budget;
 }
 
 TEST_P(PropertyTest, RandomExecutionsAreValidAndLocalizable) {

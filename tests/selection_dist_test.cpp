@@ -35,6 +35,18 @@ void expect_identical(const SelectionResult& a, const SelectionResult& b) {
   EXPECT_FALSE(b.partial);
 }
 
+/// Pins the enumerating search: the distributed engine farms out its seed
+/// shards, while the default knapsack runs in-process and would exercise
+/// none of it.
+Session enumerating(Session s) {
+  s.config().mode = selection::SearchMode::kMaximal;
+  return s;
+}
+
+Session fig2_enumerating() {
+  return enumerating(Session::from_spec_file(TRACESEL_DATA_DIR "/fig2.flow"));
+}
+
 DistConfig dist_config(std::size_t workers, const DistFaultProfile& faults) {
   DistConfig dist;
   dist.workers = workers;
@@ -54,7 +66,7 @@ DistConfig dist_config(std::size_t workers, const DistFaultProfile& faults) {
 /// factory against its serial reference.
 void run_property_matrix(const std::function<Session()>& make,
                          const char* label) {
-  Session reference = make();
+  Session reference = enumerating(make());
   const SelectionResult serial = reference.select();
 
   const struct {
@@ -70,7 +82,7 @@ void run_property_matrix(const std::function<Session()>& make,
     for (const std::size_t workers : {1u, 2u, 4u}) {
       SCOPED_TRACE(std::string(label) + " faults=" + schedule.name +
                    " workers=" + std::to_string(workers));
-      Session session = make();
+      Session session = enumerating(make());
       const auto r =
           session.run_distributed(dist_config(workers, schedule.faults));
       expect_identical(serial, r);
@@ -111,7 +123,7 @@ TEST(DistPropertyTest, T2BitIdenticalUnderFaultMatrix) {
 TEST(DistTest, RetriesObservableInMetricsRegistry) {
   obs::set_enabled(true);
   obs::reset();
-  Session session = Session::from_spec_file(TRACESEL_DATA_DIR "/fig2.flow");
+  Session session = fig2_enumerating();
   DistFaultProfile faults;
   faults.kill_rate = 0.6;  // high enough that some dispatch draws a kill
   faults.seed = 7;
@@ -131,7 +143,7 @@ TEST(DistTest, RetriesObservableInMetricsRegistry) {
 TEST(DistTest, MergedTraceHasOneLanePerProcessParentedUnderCoordinator) {
   obs::set_enabled(true);
   obs::reset();
-  Session session = Session::from_spec_file(TRACESEL_DATA_DIR "/fig2.flow");
+  Session session = fig2_enumerating();
   const auto r = session.run_distributed(dist_config(2, {}));
   EXPECT_FALSE(r.combination.messages.empty());
 
@@ -197,11 +209,11 @@ TEST(DistTest, KilledWorkersStillYieldWellFormedMergedTrace) {
   // simply absent, and the run's trace/metrics stay well-formed.
   obs::set_enabled(true);
   obs::reset();
-  Session reference = Session::from_spec_file(TRACESEL_DATA_DIR "/fig2.flow");
+  Session reference = fig2_enumerating();
   const auto serial = reference.select();
   obs::reset();
 
-  Session session = Session::from_spec_file(TRACESEL_DATA_DIR "/fig2.flow");
+  Session session = fig2_enumerating();
   DistFaultProfile faults;
   faults.kill_rate = 0.6;
   faults.seed = 7;
@@ -235,11 +247,10 @@ TEST(DistTest, BrokenWorkerBinaryDegradesToSalvageIdentically) {
   // death): every unit exhausts its retries and is salvaged in-process.
   // The result must still be bit-identical — graceful degradation, not an
   // abort.
-  Session reference =
-      Session::from_spec_file(TRACESEL_DATA_DIR "/fig2.flow");
+  Session reference = fig2_enumerating();
   const auto serial = reference.select();
 
-  Session session = Session::from_spec_file(TRACESEL_DATA_DIR "/fig2.flow");
+  Session session = fig2_enumerating();
   DistConfig dist = dist_config(2, {});
   dist.worker_argv = {"/nonexistent/tracesel-worker-xyz", "--worker"};
   dist.max_retries = 1;
@@ -293,10 +304,9 @@ TEST(DistTest, FaultInjectorIsPureAndSeeded) {
 
 TEST(DistTest, UnitSizeOneStillMerges) {
   // Maximum fragmentation: every unit is a single seed.
-  Session reference =
-      Session::from_spec_file(TRACESEL_DATA_DIR "/fig2.flow");
+  Session reference = fig2_enumerating();
   const auto serial = reference.select();
-  Session session = Session::from_spec_file(TRACESEL_DATA_DIR "/fig2.flow");
+  Session session = fig2_enumerating();
   DistConfig dist = dist_config(2, {});
   dist.unit_size = 1;
   expect_identical(serial, session.run_distributed(dist));

@@ -98,6 +98,7 @@ TEST(ParallelSelectorTest, SelectorDispatchesOnJobs) {
   const MessageSelector selector(fx.catalog, u);
   SelectorConfig cfg;
   cfg.buffer_width = 2;
+  cfg.mode = SearchMode::kMaximal;  // the mode the parallel engine shards
   cfg.jobs = 1;
   const auto reference = selector.select(cfg);
   for (const std::size_t jobs : {std::size_t{0}, std::size_t{4}}) {
@@ -128,6 +129,7 @@ TEST(ParallelSelectorTest, FlowConstraintHonoursJobs) {
   const MessageSelector selector(fx.catalog, u);
   SelectorConfig cfg;
   cfg.buffer_width = 3;
+  cfg.mode = SearchMode::kMaximal;  // the mode the parallel engine shards
   cfg.jobs = 1;
   const auto reference = selector.select_with_flow_constraint(cfg);
   cfg.jobs = 4;
@@ -158,6 +160,7 @@ TEST(ParallelSelectorTest, ExternalPoolIsReused) {
   util::ThreadPool pool(3);
   SelectorConfig cfg;
   cfg.buffer_width = 2;
+  cfg.mode = SearchMode::kMaximal;  // the sharded search uses the pool
   cfg.jobs = 1;
   const auto reference = serial.select(cfg);
   cfg.jobs = 4;  // ignored for sizing when a pool is passed

@@ -148,8 +148,9 @@ TEST(SelectorGreedy, GreedyMatchesExhaustiveOnModularFlow) {
 }
 
 TEST(SelectorKnapsack, MatchesExhaustiveGainOnRandomWidths) {
-  // The knapsack DP must find the same optimal gain as exhaustive search
-  // for arbitrary width assignments (gains are additive per message).
+  // The knapsack DP must find the same combination and bit-identical gain
+  // as the exhaustive and maximal searches for arbitrary width assignments
+  // (gains are additive per message).
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     util::Rng rng{seed};
     MessageCatalog cat;
@@ -173,24 +174,40 @@ TEST(SelectorKnapsack, MatchesExhaustiveGainOnRandomWidths) {
           .transition("s2", ms[3 * f + 2], "s3");
       flows.push_back(fb.build(cat));
     }
-    const auto u = flow::InterleavedFlow::build(
-        flow::make_instances({&flows[0], &flows[1]}, 2));
-    const MessageSelector sel(cat, u);
-    for (std::uint32_t width : {4u, 8u, 12u, 20u}) {
-      SelectorConfig ex, kn;
-      ex.buffer_width = kn.buffer_width = width;
-      ex.mode = SearchMode::kExhaustive;
-      kn.mode = SearchMode::kKnapsack;
-      ex.packing = kn.packing = false;
-      double g_ex = 0.0, g_kn = 0.0;
-      try {
-        g_ex = sel.select(ex).gain;
-      } catch (const std::runtime_error&) {
-        EXPECT_THROW(sel.select(kn), std::runtime_error);
-        continue;
+    for (const std::uint32_t instances : {1u, 2u, 3u}) {
+      const auto u = flow::InterleavedFlow::build(
+          flow::make_instances({&flows[0], &flows[1]}, instances));
+      const MessageSelector sel(cat, u);
+      for (std::uint32_t width : {4u, 8u, 12u, 20u, 2u, 64u, 256u}) {
+        for (const bool packing : {false, true}) {
+          SCOPED_TRACE("seed " + std::to_string(seed) + " instances " +
+                       std::to_string(instances) + " width " +
+                       std::to_string(width) + (packing ? " packing" : ""));
+          SelectorConfig ex, mx, kn;
+          ex.buffer_width = mx.buffer_width = kn.buffer_width = width;
+          ex.mode = SearchMode::kExhaustive;
+          mx.mode = SearchMode::kMaximal;
+          kn.mode = SearchMode::kKnapsack;
+          ex.packing = mx.packing = kn.packing = packing;
+          SelectionResult r_ex;
+          try {
+            r_ex = sel.select(ex);
+          } catch (const std::runtime_error&) {
+            EXPECT_THROW(sel.select(kn), std::runtime_error);
+            EXPECT_THROW(sel.select(mx), std::runtime_error);
+            continue;
+          }
+          for (const SelectorConfig& cfg : {kn, mx}) {
+            const SelectionResult r = sel.select(cfg);
+            EXPECT_EQ(r.combination.messages, r_ex.combination.messages);
+            EXPECT_EQ(r.combination.width, r_ex.combination.width);
+            EXPECT_EQ(r.packed, r_ex.packed);
+            EXPECT_EQ(r.gain, r_ex.gain);  // bit-identical, not near
+            EXPECT_EQ(r.gain_unpacked, r_ex.gain_unpacked);
+            EXPECT_EQ(r.coverage, r_ex.coverage);
+          }
+        }
       }
-      g_kn = sel.select(kn).gain;
-      EXPECT_DOUBLE_EQ(g_ex, g_kn) << "seed " << seed << " width " << width;
     }
   }
 }

@@ -363,6 +363,8 @@ TEST_F(ObsTest, SessionRoundTripEmitsValidTraceAndMetricsJson) {
   auto session = Session::from_spec_text(kFig2Spec);
   selection::SelectorConfig cfg;
   cfg.buffer_width = 2;
+  // The enumerating search emits the step1/step2 spans checked below.
+  cfg.mode = selection::SearchMode::kMaximal;
   cfg.trace_out = trace_path;
   cfg.metrics_out = metrics_path;
   session.configure(cfg);

@@ -4,7 +4,9 @@
 //   tracesel select  <spec.flow> [options]           run message selection
 //       --buffer N       trace buffer width in bits   (default 32)
 //       --instances K    indexed instances per flow   (default 2)
-//       --mode M         maximal|exhaustive|greedy|knapsack
+//       --mode M         knapsack|maximal|exhaustive|greedy
+//                        (default knapsack: the exact optimum, the same
+//                        combination the enumerating modes find)
 //       --no-packing     disable Step 3
 //       --jobs N         worker threads (1 serial, 0 = all cores)
 //       --kernel M       compiled|generic scoring/DP engine (default
@@ -14,7 +16,9 @@
 //       --no-symmetry-reduction   materialize every product state instead
 //                        of one weighted representative per orbit
 //       --max-nodes N    materialized node budget (default 2e6)
-//     resilience (docs/resilience.md):
+//     resilience (docs/resilience.md; --checkpoint, --checkpoint-interval
+//     and --shard-budget slice the enumerating search, so they need
+//     --mode maximal|exhaustive):
 //       --checkpoint FILE          periodically snapshot the search; an
 //                        interrupted run resumes from FILE bit-identically
 //       --checkpoint-interval N    shards per snapshot       (default 64)
@@ -28,7 +32,9 @@
 //     distributed (docs/distributed.md):
 //       --workers N      farm the search to N worker processes (this
 //                        binary re-invoked as `tracesel --worker`);
-//                        bit-identical to the in-process result
+//                        bit-identical to the in-process result. Only
+//                        --mode maximal|exhaustive is farmed; other modes
+//                        run in-process with a degradation note
 //       --unit-size N    seeds per work unit (0 = auto)
 //       --unit-deadline-ms N  inactivity deadline before a unit is
 //                        reassigned                     (default 30000)
@@ -195,7 +201,7 @@ int usage() {
   std::cerr << "usage:\n"
                "  tracesel inspect <spec.flow>\n"
                "  tracesel select <spec.flow> [--buffer N] [--instances K]"
-               " [--mode maximal|exhaustive|greedy|knapsack] [--no-packing]"
+               " [--mode knapsack|maximal|exhaustive|greedy] [--no-packing]"
                " [--jobs N] [--kernel compiled|generic] [--json]\n"
                "                 [--no-symmetry-reduction] [--max-nodes N]\n"
                "                 [--checkpoint FILE] [--checkpoint-interval N]"
@@ -206,6 +212,9 @@ int usage() {
                " [--unit-deadline-ms N] [--max-retries N]\n"
                "                 [--dist-kill-rate R] [--dist-hang-rate R]"
                " [--dist-corrupt-rate R] [--dist-fault-seed N]\n"
+               "                 (default --mode knapsack; --checkpoint,"
+               " --checkpoint-interval, --shard-budget and --workers\n"
+               "                 act on --mode maximal|exhaustive only)\n"
                "  tracesel serve --socket PATH [--runners N]"
                " [--max-queue N] [--slow-job-ms N] [--journal-capacity N]\n"
                "                 [--journal-dir DIR] [--journal-rotate-bytes N]"
@@ -282,6 +291,7 @@ int cmd_select(int argc, char** argv) {
   bool json = false;
   std::string spec_path, resume_path;
   std::string structural_flag;  // first structural flag seen, for diagnostics
+  std::string shard_flag;  // first flag acting on seed shards, likewise
   bool checkpoint_given = false;
   std::uint64_t deadline_ms = 0;
   selection::DistConfig dist;
@@ -293,6 +303,9 @@ int cmd_select(int argc, char** argv) {
     };
     auto structural = [&]() {
       if (structural_flag.empty()) structural_flag = arg;
+    };
+    auto sharded = [&]() {
+      if (shard_flag.empty()) shard_flag = arg;
     };
     if (arg == "--buffer") { structural(); cfg.buffer_width = std::stoul(next()); }
     else if (arg == "--instances") { structural(); instances = std::stoul(next()); }
@@ -307,9 +320,11 @@ int cmd_select(int argc, char** argv) {
       structural();
       iopt.max_nodes = std::stoul(next());
     } else if (arg == "--checkpoint") {
+      sharded();
       cfg.checkpoint_path = next();
       checkpoint_given = true;
     } else if (arg == "--checkpoint-interval") {
+      sharded();
       cfg.checkpoint_interval = std::stoul(next());
       if (cfg.checkpoint_interval == 0)
         throw std::runtime_error("--checkpoint-interval must be >= 1");
@@ -329,8 +344,10 @@ int cmd_select(int argc, char** argv) {
       dist.faults.seed = std::stoull(next());
     else if (arg == "--deadline-ms") deadline_ms = std::stoull(next());
     else if (arg == "--mem-budget-mb") cfg.mem_budget_mb = std::stoul(next());
-    else if (arg == "--shard-budget") cfg.shard_budget = std::stoul(next());
-    else if (arg == "--mode") {
+    else if (arg == "--shard-budget") {
+      sharded();
+      cfg.shard_budget = std::stoul(next());
+    } else if (arg == "--mode") {
       structural();
       const std::string m = next();
       if (m == "maximal") cfg.mode = selection::SearchMode::kMaximal;
@@ -346,6 +363,16 @@ int cmd_select(int argc, char** argv) {
       throw std::runtime_error("unknown option '" + arg + "'");
     }
   }
+
+  // Checkpoints and shard budgets slice the enumerating search into seed
+  // shards. The knapsack and greedy searches have no shards, so the flags
+  // would be silently ignored (a resumed run takes its mode from the
+  // checkpoint, which only the enumerating modes write).
+  if (resume_path.empty() && !selection::enumerates(cfg.mode) &&
+      !shard_flag.empty())
+    throw std::runtime_error(shard_flag +
+                             " acts on the enumerating search only;"
+                             " add --mode maximal|exhaustive");
 
   // Thread the global sinks through the config so the Session plumbing is
   // the same one embedding applications use; main() performs the writes.
